@@ -4,9 +4,11 @@ Where ``repro bench --compare`` answers "did this commit regress
 against that one?", this module answers the longitudinal questions the
 history store exists for:
 
-- **per-cell and aggregate series** -- every ``events_per_s`` sample a
-  matrix cell has ever produced, in snapshot order, plus the
-  aggregate-throughput trajectory across snapshots;
+- **per-cell and aggregate series** -- every speed sample a matrix
+  cell has ever produced (``commits_per_wall_s``: commits per wall
+  second, the inverse of the wall per commit ``repro bench --compare``
+  judges), in snapshot order, plus the aggregate events/s trajectory
+  across snapshots;
 - **regression detection** -- the latest snapshot's cells against the
   median of a trailing window of prior snapshots, verdicted with the
   same noise-hardening as ``compare_bench`` (per-cell tolerance, an
@@ -29,10 +31,9 @@ artifact can be committed or diffed in CI.
 Snapshots are ordered by their artifact ``created`` stamp, falling back
 to store append order for artifacts that carry none (telemetry streams,
 EXPLAIN payloads).  Bench cells are keyed by (scheduler, workload,
-rate_tps, dd) *without* seed or duration: ``events_per_s`` is
-horizon-independent, so runs of the same cell at different horizons are
-samples of the same quantity (the longest horizon wins when one
-snapshot holds several).
+rate_tps, dd) *without* seed or duration, so runs of the same cell at
+different horizons are samples of the same series (the longest horizon
+wins when one snapshot holds several).
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def _pick_bench_sample(
         cell = row.get("cell") or {}
         return (
             float(cell.get("duration_ms") or 0.0),
-            float(row["metrics"].get("events_per_s") or 0.0),
+            float(row["metrics"].get("commits_per_wall_s") or 0.0),
         )
 
     return max(rows, key=rank)
@@ -142,13 +143,13 @@ def _pick_bench_sample(
 def build_cell_series(
     snapshots: typing.Sequence[typing.Mapping[str, typing.Any]],
     record_kind: str = "bench.cell",
-    metric: str = "events_per_s",
+    metric: str = "commits_per_wall_s",
 ) -> typing.Dict[CellKey, typing.List[typing.Dict[str, typing.Any]]]:
     """Per-cell sample series across ``snapshots``, in snapshot order.
 
     Each sample is ``{"snapshot", "created", "git_sha", "value", ...}``
-    with ``maxrss_kb`` and ``throughput_tps`` carried along when the
-    source records have them.
+    with ``events_per_s``, ``maxrss_kb`` and ``throughput_tps`` carried
+    along when the source records have them.
     """
     series: typing.Dict[CellKey, typing.List[typing.Dict[str, typing.Any]]] = {}
     for snapshot in snapshots:
@@ -167,6 +168,7 @@ def build_cell_series(
                 "created": snapshot["created"],
                 "git_sha": snapshot["git_sha"],
                 "value": float(row["metrics"][metric]),
+                "events_per_s": row["metrics"].get("events_per_s"),
                 "maxrss_kb": row["metrics"].get("maxrss_kb"),
                 "throughput_tps": row["metrics"].get("throughput_tps"),
             })
@@ -196,7 +198,7 @@ def detect_regressions(
     """Verdict the latest snapshot of every cell against its trailing
     window, with ``compare_bench``-style noise hardening.
 
-    A cell *regresses* when its latest ``events_per_s`` falls below the
+    A cell *regresses* when its latest speed sample falls below the
     trailing-window median by more than ``tolerance``; memory *grows*
     when latest ``maxrss_kb`` exceeds the trailing median by more than
     ``mem_tolerance``.  The overall verdict fails only on the
@@ -428,10 +430,11 @@ def history_report(
     for snapshot in snapshots:
         digest = snapshot["snapshot"]
         values = [
-            sample["value"]
+            sample["events_per_s"]
             for samples in series.values()
             for sample in samples
             if sample["snapshot"] == digest
+            and sample["events_per_s"] is not None
         ]
         if values:
             aggregate_series.append({
@@ -455,7 +458,8 @@ def history_report(
                     "snapshot": sample["snapshot"],
                     "created": sample["created"],
                     "git_sha": sample["git_sha"],
-                    "events_per_s": round(sample["value"], 2),
+                    "commits_per_wall_s": round(sample["value"], 2),
+                    "events_per_s": sample["events_per_s"],
                     "maxrss_kb": sample["maxrss_kb"],
                 }
                 for sample in series[key]
@@ -563,7 +567,7 @@ def render_history_markdown(
         lines.append("")
 
     if payload["series"]:
-        lines.append("## Per-cell events/s trends")
+        lines.append("## Per-cell speed trends (commits per wall second)")
         lines.append("")
         lines.append("| cell | n | trend | latest | baseline | ratio | status |")
         lines.append("|---|---|---|---|---|---|---|")
@@ -571,7 +575,9 @@ def render_history_markdown(
             entry["cell"]: entry for entry in verdict["cells"]
         }
         for entry in payload["series"]:
-            values = [sample["events_per_s"] for sample in entry["samples"]]
+            values = [
+                sample["commits_per_wall_s"] for sample in entry["samples"]
+            ]
             cell_verdict = verdict_by_cell.get(entry["cell"], {})
             status = cell_verdict.get("status", "insufficient")
             if cell_verdict.get("mem_status") == "growth":
@@ -581,7 +587,7 @@ def render_history_markdown(
             lines.append(
                 f"| {entry['cell']} | {len(values)} "
                 f"| `{sparkline(values, width=spark_width)}` "
-                f"| {values[-1]:.0f} "
+                f"| {values[-1]:.2f} "
                 f"| {baseline if baseline is not None else '—'} "
                 f"| {f'{ratio:.3f}' if ratio is not None else '—'} "
                 f"| {status} |"

@@ -5,15 +5,19 @@
 result cache, self-profiler attached -- and writes one
 ``BENCH_<ISO-date>.json`` artifact per invocation recording, per cell:
 
-- ``events_per_s``   -- DES events processed per wall second (the
-  primary speed metric; model-independent and horizon-independent);
+- ``wall_s`` and ``completed`` -- wall seconds and commits, whose
+  ratio, wall per commit, is the speed metric the compare judges;
+- ``events_per_s``   -- DES events processed per wall second
+  (informational: a change that removes needless events lowers it
+  while the run gets faster);
 - ``wall_per_sim_s`` -- wall seconds per simulated second;
 - the per-phase wall-time breakdown from
   :class:`~repro.obs.profile.PhaseProfiler`.
 
 ``repro bench --compare A B`` diffs two artifacts cell-by-cell (keyed
 by scheduler/workload/rate/dd/seed/duration) and flags any cell whose
-``events_per_s`` dropped by more than the tolerance, or whose peak RSS
+speed (commits per wall second, the inverse of wall per commit) dropped
+by more than the tolerance, or whose peak RSS
 (``maxrss_kb``, recorded per row since the telemetry layer grew
 :func:`~repro.obs.telemetry.max_rss_kb`) grew beyond the separate
 memory tolerance -- the CI bench job runs exactly this against the
@@ -40,7 +44,8 @@ PathLike = typing.Union[str, pathlib.Path]
 #: ``bench_schema_version`` alias.
 BENCH_SCHEMA_VERSION = 1
 
-#: default regression tolerance: fail when events/s drops > 25%
+#: default regression tolerance: fail when a cell's speed (inverse wall
+#: per commit) drops > 25%
 DEFAULT_TOLERANCE = 0.25
 
 #: default memory-regression tolerance: fail when a cell's peak RSS
@@ -209,6 +214,7 @@ def validate_bench(payload: typing.Mapping[str, typing.Any]) -> None:
     required = (
         "scheduler", "workload", "dd", "seed", "duration_ms",
         "wall_s", "events", "events_per_s", "wall_per_sim_s", "profile",
+        "completed",
     )
     for row in runs:
         missing = [field for field in required if field not in row]
@@ -241,17 +247,24 @@ def _run_key(row: typing.Mapping[str, typing.Any]) -> RunKey:
 REGRESSION_QUORUM = 0.125
 
 
+def wall_ms_per_commit(row: typing.Mapping[str, typing.Any]) -> float:
+    """Wall milliseconds per committed transaction of a bench row (per
+    run, for a cell without commits)."""
+    return row["wall_s"] * 1_000.0 / max(row["completed"], 1)
+
+
 def compare_bench(
     baseline: typing.Mapping[str, typing.Any],
     current: typing.Mapping[str, typing.Any],
     tolerance: float = DEFAULT_TOLERANCE,
     mem_tolerance: float = DEFAULT_MEM_TOLERANCE,
 ) -> typing.Dict[str, typing.Any]:
-    """Diff two BENCH artifacts on ``events_per_s`` *and* ``maxrss_kb``,
+    """Diff two BENCH artifacts on wall per commit *and* ``maxrss_kb``,
     cell by cell.
 
-    A cell *regresses* when its current speed falls below
-    ``baseline * (1 - tolerance)``; it *memory-regresses* when its peak
+    A cell's speed is the inverse of its wall per commit
+    (:func:`wall_ms_per_commit`); the cell *regresses* when its current
+    speed falls below ``baseline * (1 - tolerance)``; it *memory-regresses* when its peak
     RSS grows above ``baseline * (1 + mem_tolerance)`` (cells lacking
     ``maxrss_kb`` on either side -- pre-PR-9 artifacts, non-POSIX hosts
     -- are skipped for the memory check only).  Cells present in only
@@ -261,7 +274,9 @@ def compare_bench(
     The overall verdict (``failed``) is noise-hardened and trips when
     any of the following holds:
 
-    - the *aggregate* speed over all matched cells (total events /
+    - no cell matched at all (different matrix, horizon or seed), so
+      nothing was compared;
+    - the *aggregate* speed over all matched cells (total commits /
       total wall) regressed beyond the tolerance;
     - at least :data:`REGRESSION_QUORUM` of the matched cells regressed
       individually (minimum one);
@@ -292,13 +307,15 @@ def compare_bench(
             "dd": key[3],
             "seed": key[4],
             "duration_ms": key[5],
+            "baseline_ms_per_commit": base and wall_ms_per_commit(base),
+            "current_ms_per_commit": curr and wall_ms_per_commit(curr),
             "baseline_events_per_s": base and base["events_per_s"],
             "current_events_per_s": curr and curr["events_per_s"],
         }
         if base is None or curr is None:
             cell["status"] = "baseline-only" if curr is None else "new"
         else:
-            ratio = curr["events_per_s"] / base["events_per_s"]
+            ratio = wall_ms_per_commit(base) / wall_ms_per_commit(curr)
             cell["ratio"] = round(ratio, 4)
             if ratio < 1.0 - tolerance:
                 cell["status"] = "regression"
@@ -328,19 +345,19 @@ def compare_bench(
     matched = sorted(set(base_rows) & set(curr_rows))
     aggregate: typing.Optional[typing.Dict[str, typing.Any]] = None
     if matched:
-        base_wall = sum(base_rows[k]["wall_s"] for k in matched)
-        curr_wall = sum(curr_rows[k]["wall_s"] for k in matched)
-        if base_wall > 0 and curr_wall > 0:
-            base_speed = sum(
-                base_rows[k]["events"] for k in matched
-            ) / base_wall
-            curr_speed = sum(
-                curr_rows[k]["events"] for k in matched
-            ) / curr_wall
+        base_cost = wall_ms_per_commit({
+            "wall_s": sum(base_rows[k]["wall_s"] for k in matched),
+            "completed": sum(base_rows[k]["completed"] for k in matched),
+        })
+        curr_cost = wall_ms_per_commit({
+            "wall_s": sum(curr_rows[k]["wall_s"] for k in matched),
+            "completed": sum(curr_rows[k]["completed"] for k in matched),
+        })
+        if base_cost > 0 and curr_cost > 0:
             aggregate = {
-                "baseline_events_per_s": round(base_speed, 3),
-                "current_events_per_s": round(curr_speed, 3),
-                "ratio": round(curr_speed / base_speed, 4),
+                "baseline_ms_per_commit": round(base_cost, 6),
+                "current_ms_per_commit": round(curr_cost, 6),
+                "ratio": round(base_cost / curr_cost, 4),
             }
     mem_aggregate: typing.Optional[typing.Dict[str, typing.Any]] = None
     mem_keys = [
@@ -358,6 +375,11 @@ def compare_bench(
     quorum = max(1, math.ceil(REGRESSION_QUORUM * len(matched)))
     mem_quorum = max(1, math.ceil(REGRESSION_QUORUM * mem_matched))
     fail_reasons = []
+    if not matched:
+        fail_reasons.append(
+            "no cell matched between baseline and current (different "
+            "matrix, horizon or seed): nothing was compared"
+        )
     if aggregate is not None and aggregate["ratio"] < 1.0 - tolerance:
         fail_reasons.append(
             f"aggregate speed ratio {aggregate['ratio']:.3f} below "
@@ -454,12 +476,12 @@ def render_compare_report(report: typing.Mapping[str, typing.Any]) -> str:
         )
     lines.append("")
     lines.append(
-        f"  {'scheduler':<8} {'rate':>5} {'dd':>3} {'base ev/s':>10} "
-        f"{'curr ev/s':>10} {'ratio':>7}  status"
+        f"  {'scheduler':<8} {'rate':>5} {'dd':>3} {'base ms/c':>10} "
+        f"{'curr ms/c':>10} {'speed':>7}  status"
     )
     for cell in report["cells"]:
-        base = cell["baseline_events_per_s"]
-        curr = cell["current_events_per_s"]
+        base = cell["baseline_ms_per_commit"]
+        curr = cell["current_ms_per_commit"]
         ratio = cell.get("ratio")
         status = cell["status"]
         if cell.get("mem_status") == "regression":
@@ -467,8 +489,8 @@ def render_compare_report(report: typing.Mapping[str, typing.Any]) -> str:
         lines.append(
             f"  {cell['scheduler']:<8} {cell['rate_tps']:>5g} "
             f"{cell['dd']:>3} "
-            f"{base if base is not None else '-':>10} "
-            f"{curr if curr is not None else '-':>10} "
+            f"{f'{base:.3f}' if base is not None else '-':>10} "
+            f"{f'{curr:.3f}' if curr is not None else '-':>10} "
             f"{f'{ratio:.3f}' if ratio is not None else '-':>7}  "
             f"{status}"
         )
@@ -476,9 +498,9 @@ def render_compare_report(report: typing.Mapping[str, typing.Any]) -> str:
     aggregate = report.get("aggregate")
     if aggregate is not None:
         lines.append(
-            f"  aggregate: {aggregate['baseline_events_per_s']:.0f} -> "
-            f"{aggregate['current_events_per_s']:.0f} events/s "
-            f"(ratio {aggregate['ratio']:.3f})"
+            f"  aggregate: {aggregate['baseline_ms_per_commit']:.3f} -> "
+            f"{aggregate['current_ms_per_commit']:.3f} ms/commit "
+            f"(speed ratio {aggregate['ratio']:.3f})"
         )
     mem_aggregate = report.get("mem_aggregate")
     if mem_aggregate is not None:

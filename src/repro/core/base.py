@@ -14,10 +14,15 @@ handles waiting, re-evaluation on state changes, the lock table, and
 statistics.  Every policy computation consumes control-node CPU per the
 paper's Table 1 costs, so concurrency control itself loads the machine.
 
-Re-submission of blocked/delayed requests is event-driven (any grant,
-commit or abort wakes all waiters) with the configurable
-``retry_delay_ms`` as a fallback, implementing the paper's "aborted or
-delayed lock-requests are submitted ... after some delay".
+Re-submission is event-driven; grants wake nobody:
+
+- A BLOCKed request waits for its file's release (commit or abort).
+- A DELAYed request or a rejected admission waits for the next commit
+  or abort.  DELAYed requests also wake after the configurable
+  ``retry_delay_ms``, implementing the paper's "aborted or delayed
+  lock-requests are submitted ... after some delay"; a policy whose
+  DELAYs only a commit or abort can clear opts out
+  (:attr:`Scheduler.retry_delayed`).
 """
 
 from __future__ import annotations
@@ -74,6 +79,10 @@ class Scheduler(abc.ABC):
 
     #: short name used in result tables ("GOW", "LOW", ...)
     name: str = "base"
+
+    #: whether a DELAYed request is also re-evaluated every
+    #: ``retry_delay_ms`` while no transaction leaves
+    retry_delayed: bool = True
 
     def __init__(
         self,
@@ -184,7 +193,9 @@ class Scheduler(abc.ABC):
                 )
             else:
                 self.stats.delays.increment()
-                yield from self._wait_for_commit(priority=txn.arrival_time)
+                yield from self._wait_for_commit(
+                    fallback=self.retry_delayed, priority=txn.arrival_time
+                )
 
     def _evaluate(self, attempt: typing.Generator) -> typing.Generator:
         """Drive one policy evaluation, self-profiled when enabled."""
@@ -356,9 +367,10 @@ class Scheduler(abc.ABC):
     ) -> typing.Generator:
         """Sleep until some transaction commits/aborts.
 
-        Delayed requests keep the retry-delay fallback (their grantability
-        can also change on grants, which do not wake anyone); admission
-        waits don't need it.
+        With ``fallback`` the wait also ends after ``retry_delay_ms``:
+        the paper re-submits delayed requests "after some delay", so a
+        verdict no commit or abort changes is re-evaluated anyway.
+        Admission waits don't need it.
         """
         yield from self._wait_on(
             self.env.event(), self._commit_waiters, fallback, priority

@@ -23,8 +23,9 @@ under ``results/history/`` whose records are
 Four record kinds cover the four artifact families:
 
 =================  ============================================persist
-``bench.cell``     one BENCH run row: ``events_per_s``, wall/sim,
-                   ``throughput_tps``, ``maxrss_kb``
+``bench.cell``     one BENCH run row: ``commits_per_wall_s``,
+                   ``events_per_s``, wall/sim, ``throughput_tps``,
+                   ``maxrss_kb``
 ``arena.cell``     one ARENA cell: throughput, response times, abort
                    rate, and the %queued/%blocked/%exec/%wasted time
                    budget when the explain pass ran
@@ -204,7 +205,7 @@ def bench_records(
     snapshot: str,
 ) -> typing.List[typing.Dict[str, typing.Any]]:
     """One ``bench.cell`` record per BENCH run row."""
-    from repro.bench import validate_bench
+    from repro.bench import validate_bench, wall_ms_per_commit
 
     validate_bench(payload)
     records = []
@@ -219,6 +220,7 @@ def bench_records(
             "duration_ms": float(row["duration_ms"]),
         }
         metrics: typing.Dict[str, typing.Any] = {
+            "commits_per_wall_s": 1_000.0 / wall_ms_per_commit(row),
             "events_per_s": row["events_per_s"],
             "events": row["events"],
             "wall_s": row["wall_s"],

@@ -126,10 +126,11 @@ def print_progress(event: RunEvent, stream: typing.TextIO = sys.stderr) -> None:
         )
 
 
-def _git_sha() -> typing.Optional[str]:
+def _git(*args: str) -> typing.Optional[str]:
+    """Stripped stdout of a git command in the cwd, or None on failure."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             capture_output=True,
             text=True,
             timeout=5,
@@ -137,8 +138,18 @@ def _git_sha() -> typing.Optional[str]:
         )
     except (OSError, subprocess.SubprocessError):
         return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def _git_sha() -> typing.Optional[str]:
+    """HEAD's commit, suffixed ``-dirty`` when tracked files differ from
+    it: results from an uncommitted tree are not that commit's."""
+    sha = _git("rev-parse", "HEAD")
+    if not sha:
+        return None
+    if _git("status", "--porcelain", "--untracked-files=no"):
+        return f"{sha}-dirty"
+    return sha
 
 
 def _slug(label: str) -> str:

@@ -17,6 +17,11 @@ Why the rule is safe:
   permits only for earlier admissions.  Waits-for therefore embeds into
   the admission order and cannot cycle, and the lowest-order live
   transaction always progresses.
+- *No retry polling.*  A DELAY under this rule can clear only when an
+  earlier-admitted conflicting declarer leaves (later admissions never
+  precede the requester), and every leave is a commit or abort, which
+  wakes all DELAYed requests.  So the paper schedulers' ``retry_delay_ms``
+  re-evaluation would only repeat the DELAY; these policies turn it off.
 - *Serializability.*  Conflicting accesses execute strictly in admission
   order, so every history is conflict-equivalent to the serial history
   in admission order.  The :class:`~repro.sim.audit.SerializabilityAuditor`
@@ -35,6 +40,8 @@ from repro.txn.transaction import BatchTransaction
 class DeclaredOrderScheduler(Scheduler):
     """Scheduler base that tracks live declarations in admission order."""
 
+    retry_delayed = False
+
     def __init__(self, *args: typing.Any, **kwargs: typing.Any) -> None:
         super().__init__(*args, **kwargs)
         #: admission sequence number (the conflict-resolution order)
@@ -45,6 +52,8 @@ class DeclaredOrderScheduler(Scheduler):
         self._live: typing.Dict[int, BatchTransaction] = {}
         #: per-file declaration index: file -> {txn_id: declared mode}
         self._declared: typing.Dict[int, typing.Dict[int, AccessMode]] = {}
+        #: files already seen as contested, per live transaction
+        self._counted: typing.Dict[int, typing.Set[int]] = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -64,6 +73,7 @@ class DeclaredOrderScheduler(Scheduler):
         """Drop a committed/aborted transaction from the index."""
         self._live.pop(txn.txn_id, None)
         self._order.pop(txn.txn_id, None)
+        self._counted.pop(txn.txn_id, None)
         for file_id in txn.files:
             declarers = self._declared.get(file_id)
             if declarers is not None:
@@ -88,6 +98,16 @@ class DeclaredOrderScheduler(Scheduler):
             ):
                 return True
         return False
+
+    def _first_wait(self, txn: BatchTransaction, file_id: int) -> bool:
+        """True the first time ``txn`` waits on ``file_id``: a wait is
+        evidence once per (transaction, file), however often it is
+        re-evaluated."""
+        counted = self._counted.setdefault(txn.txn_id, set())
+        if file_id in counted:
+            return False
+        counted.add(file_id)
+        return True
 
     def _declared_conflict_files(
         self, txn: BatchTransaction

@@ -25,7 +25,8 @@ Mechanics:
   conflict likelihood is ``1 - prod(1 - p(f))`` over those files.  Above
   ``threshold``, admission is deferred until a commit changes the
   picture -- at most ``max_defers`` times, after which the transaction
-  is admitted regardless (starvation cap).
+  is admitted regardless (starvation cap).  Every commit moves the
+  score, so a deferred admission is re-evaluated on every commit.
 - **Execution.**  Admitted transactions run under the admission-order
   grant rule (:class:`~repro.schedulers.modern.base.DeclaredOrderScheduler`),
   so the predictor only shapes the mix; serializability and deadlock
@@ -72,8 +73,6 @@ class ConflictPredictScheduler(DeclaredOrderScheduler):
         self._completions: typing.Dict[int, int] = {}
         #: file -> transactions that waited on it at least once
         self._conflicts: typing.Dict[int, int] = {}
-        #: files already counted as conflicted, per live transaction
-        self._counted: typing.Dict[int, typing.Set[int]] = {}
         #: deferrals suffered so far by each waiting transaction
         self._defers: typing.Dict[int, int] = {}
         #: total deferrals issued (for the probe catalogue)
@@ -96,9 +95,7 @@ class ConflictPredictScheduler(DeclaredOrderScheduler):
         return 1.0 - survival
 
     def _record_wait(self, txn: BatchTransaction, file_id: int) -> None:
-        counted = self._counted.setdefault(txn.txn_id, set())
-        if file_id not in counted:
-            counted.add(file_id)
+        if self._first_wait(txn, file_id):
             self._conflicts[file_id] = self._conflicts.get(file_id, 0) + 1
 
     # -- admission: defer likely losers ------------------------------------
@@ -145,7 +142,6 @@ class ConflictPredictScheduler(DeclaredOrderScheduler):
             self._completions[file_id] = (
                 self._completions.get(file_id, 0) + 1
             )
-        self._counted.pop(txn.txn_id, None)
 
     def timeseries_probes(
         self,

@@ -17,11 +17,15 @@ Transplanted onto the paper's machine model:
   while it holds the lowest admission order among its queue's live
   members; once started it runs to commit exempt from the gate.  Queues
   therefore drain serially while distinct queues overlap freely.
-- **Contention-triggered re-partition.**  Every DELAY verdict is
-  evidence the partition has gone stale.  After ``repartition_after``
-  of them, all *not-yet-started* transactions are redistributed with the
+- **Contention-triggered re-partition.**  A started transaction that
+  DELAYs behind a conflicting predecessor (in another queue, normally)
+  is evidence the partition has gone stale; each (transaction, file)
+  pair counts once, however often its wait is re-evaluated.  Every such
+  first wait redistributes all *not-yet-started* transactions with the
   same greedy rule, in admission order (started transactions keep their
-  locks and are left alone, so re-partition is always safe).
+  locks and are left alone, so re-partition is always safe), and a
+  re-partition that moves anyone wakes the DELAYed requests, so a moved
+  transaction re-checks its queue gate at once.
 
 Conflicts are still resolved by the admission-order grant rule
 (:class:`~repro.schedulers.modern.base.DeclaredOrderScheduler`), so the
@@ -50,18 +54,12 @@ class ConflictReorderScheduler(DeclaredOrderScheduler):
         self,
         *args: typing.Any,
         num_queues: int = 4,
-        repartition_after: int = 64,
         **kwargs: typing.Any,
     ) -> None:
         super().__init__(*args, **kwargs)
         if num_queues < 1:
             raise ValueError(f"num_queues must be >= 1, got {num_queues}")
-        if repartition_after < 1:
-            raise ValueError(
-                f"repartition_after must be >= 1, got {repartition_after}"
-            )
         self.num_queues = num_queues
-        self.repartition_after = repartition_after
         #: live members of each execution queue
         self._queues: typing.List[typing.Set[int]] = [
             set() for _ in range(num_queues)
@@ -70,8 +68,6 @@ class ConflictReorderScheduler(DeclaredOrderScheduler):
         self._queue_of: typing.Dict[int, int] = {}
         #: transactions that have begun executing (gate-exempt)
         self._started: typing.Set[int] = set()
-        #: DELAY verdicts since the last re-partition
-        self._stale_evidence = 0
         #: completed re-partitions
         self._repartitions = 0
 
@@ -125,23 +121,16 @@ class ConflictReorderScheduler(DeclaredOrderScheduler):
         if not self.lock_table.is_compatible(file_id, mode):
             return Decision.BLOCK
         if self._has_conflict_predecessor(txn, file_id, mode):
-            return self._stale()
+            if self._first_wait(txn, file_id):
+                self._repartition()  # the partition has gone stale
+            return Decision.DELAY
         self._grant_lock(txn, file_id, mode)
         return Decision.GRANT
-
-    def _stale(self) -> Decision:
-        """Count a DELAY as partition-staleness evidence; re-partition
-        once enough has accumulated."""
-        self._stale_evidence += 1
-        if self._stale_evidence >= self.repartition_after:
-            self._repartition()
-        return Decision.DELAY
 
     def _repartition(self) -> None:
         """Redistribute every not-yet-started live transaction with the
         greedy rule, in admission order.  Started transactions stay put,
         so the move never invalidates a dispatch decision already made."""
-        self._stale_evidence = 0
         self._repartitions += 1
         pending = sorted(
             (t for t in self._live if t not in self._started),
@@ -157,6 +146,10 @@ class ConflictReorderScheduler(DeclaredOrderScheduler):
             self._queue_of[txn_id] = queue
             if queue != before[txn_id]:
                 moved += 1
+        if moved:
+            # a moved transaction may now head its queue: re-evaluate
+            # the DELAYed requests rather than wait for the next commit
+            self._notify_commit(())
         if self._trace.enabled:
             self._trace.emit(
                 self.env.now,

@@ -25,7 +25,7 @@ from repro.obs.history import HistorySchemaError, HistoryStore
 from tests.obs.test_history import write_bench
 
 
-def bench_record(snapshot, scheduler="GOW", events_per_s=100_000.0,
+def bench_record(snapshot, scheduler="GOW", speed=100_000.0,
                  created=None, maxrss_kb=None, throughput_tps=1.0,
                  rate_tps=1.0, dd=1, duration_ms=1000.0):
     return {
@@ -40,7 +40,8 @@ def bench_record(snapshot, scheduler="GOW", events_per_s=100_000.0,
         "cell": {"scheduler": scheduler, "workload": "exp1",
                  "rate_tps": rate_tps, "dd": dd, "seed": 0,
                  "duration_ms": duration_ms},
-        "metrics": {"events_per_s": events_per_s,
+        "metrics": {"commits_per_wall_s": speed,
+                    "events_per_s": speed,
                     "maxrss_kb": maxrss_kb,
                     "throughput_tps": throughput_tps},
     }
@@ -49,7 +50,7 @@ def bench_record(snapshot, scheduler="GOW", events_per_s=100_000.0,
 def series_of(values, scheduler="GOW", **kwargs):
     """One cell's record per snapshot, snapshots stamped in order."""
     return [
-        bench_record(f"snap{i}", scheduler=scheduler, events_per_s=value,
+        bench_record(f"snap{i}", scheduler=scheduler, speed=value,
                      created=f"2026-01-{i + 1:02d}T00:00:00Z", **kwargs)
         for i, value in enumerate(values)
     ]
@@ -73,8 +74,8 @@ class TestOrdering:
 
     def test_longest_horizon_wins_within_a_snapshot(self):
         records = [
-            bench_record("s1", events_per_s=50_000.0, duration_ms=1000.0),
-            bench_record("s1", events_per_s=80_000.0, duration_ms=5000.0),
+            bench_record("s1", speed=50_000.0, duration_ms=1000.0),
+            bench_record("s1", speed=80_000.0, duration_ms=5000.0),
         ]
         series = build_cell_series(order_snapshots(records))
         samples = series[("GOW", "exp1", 1.0, 1)]

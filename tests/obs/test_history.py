@@ -19,7 +19,7 @@ from repro.obs.history import (
 def bench_rows(n_cells, events_per_s=100_000.0, maxrss_kb=None):
     rows = []
     for i in range(n_cells):
-        events = int(events_per_s)
+        events = 100_000  # a faster run does the same events in less wall
         row = {
             "scheduler": f"S{i}", "workload": {"kind": "exp1",
                                                "rate_tps": 1.0},
@@ -151,6 +151,7 @@ class TestExtract:
         assert record["cell"]["scheduler"] == "S0"
         assert record["cell"]["workload"] == "exp1"
         assert record["metrics"]["events_per_s"] == 100_000.0
+        assert record["metrics"]["commits_per_wall_s"] == 1.0
         assert record["metrics"]["maxrss_kb"] == 42_000
         assert record["snapshot"] == artifact_digest(tmp_path / "b.json")
 

@@ -170,9 +170,8 @@ class TestCompare:
 
     def test_flags_injected_regression(self):
         baseline = quick_payload()
-        current = copy.deepcopy(baseline)
         # simulate the first cell running at half speed
-        current["runs"][0]["events_per_s"] *= 0.5
+        current = slow_down(baseline, [0])
         report = compare_bench(baseline, current, tolerance=0.25)
         assert report["regressions"] == 1
         statuses = [c["status"] for c in report["cells"]]
@@ -181,6 +180,22 @@ class TestCompare:
         assert bad["ratio"] == pytest.approx(0.5)
         # with only two matched cells the quorum is one: the gate fails
         assert report["failed"] is True
+
+    def test_speed_is_wall_per_commit_not_events_per_second(self):
+        """A cell that drops needless events runs faster per commit even
+        though its events/s falls: it must not read as a regression."""
+        baseline = synthetic_payload(2)
+        current = copy.deepcopy(baseline)
+        row = current["runs"][0]
+        row["events"] //= 4  # a quarter of the events ...
+        row["wall_s"] /= 2  # ... in half the wall: events/s halves
+        row["events_per_s"] = row["events"] / row["wall_s"]
+        report = compare_bench(baseline, current)
+        cell = report["cells"][0]
+        assert cell["current_events_per_s"] < cell["baseline_events_per_s"]
+        assert cell["ratio"] == pytest.approx(2.0)
+        assert cell["status"] == "ok"
+        assert report["failed"] is False
 
     def test_one_noisy_cell_does_not_fail_a_big_matrix(self):
         baseline = synthetic_payload(20)
@@ -211,8 +226,7 @@ class TestCompare:
 
     def test_tolerance_controls_the_threshold(self):
         baseline = quick_payload(n=1)
-        current = copy.deepcopy(baseline)
-        current["runs"][0]["events_per_s"] *= 0.85  # 15% slower
+        current = slow_down(baseline, [0], factor=0.85)  # 15% slower
         assert compare_bench(baseline, current, tolerance=0.25)["regressions"] == 0
         assert compare_bench(baseline, current, tolerance=0.10)["regressions"] == 1
 
@@ -222,13 +236,29 @@ class TestCompare:
             compare_bench(payload, payload, tolerance=1.5)
 
     def test_disjoint_cells_never_fail(self):
-        baseline = quick_payload(n=1)
+        baseline = synthetic_payload(2)
         current = copy.deepcopy(baseline)
         current["runs"][0]["scheduler"] = "XYZ"
         report = compare_bench(baseline, current)
         assert report["regressions"] == 0
         statuses = sorted(c["status"] for c in report["cells"])
-        assert statuses == ["baseline-only", "new"]
+        assert statuses == ["baseline-only", "new", "ok"]
+        assert report["failed"] is False  # one cell still matched
+
+    def test_zero_matched_cells_fail(self):
+        """Artifacts sharing no cell (e.g. a 200 s run against a 60 s /
+        150 s baseline) compared nothing: that must not read as OK."""
+        baseline = synthetic_payload(2)
+        current = copy.deepcopy(baseline)
+        for row in current["runs"]:
+            row["duration_ms"] = 200_000.0
+        report = compare_bench(baseline, current)
+        assert report["regressions"] == 0
+        assert report["failed"] is True
+        assert any("no cell matched" in r for r in report["fail_reasons"])
+        text = render_compare_report(report)
+        assert "FAIL: no cell matched" in text
+        assert "OK" not in text
 
     def test_host_mismatch_is_a_warning_not_a_failure(self):
         baseline = quick_payload(n=1)
@@ -346,8 +376,7 @@ class TestRendering:
         payload = quick_payload(n=1)
         clean = render_compare_report(compare_bench(payload, payload))
         assert "OK" in clean and "FAIL" not in clean
-        broken = copy.deepcopy(payload)
-        broken["runs"][0]["events_per_s"] *= 0.1
+        broken = slow_down(payload, [0], factor=0.1)
         broken["host"] = dict(broken["host"], python="0.0.0")
         failing = render_compare_report(compare_bench(payload, broken))
         assert "FAIL" in failing and "WARNING" in failing

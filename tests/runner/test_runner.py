@@ -170,3 +170,34 @@ class TestValidation:
     def test_rejects_zero_pool(self):
         with pytest.raises(ValueError):
             ParallelRunner(pool_size=0)
+
+
+class TestProvenance:
+    def test_git_sha_marks_an_uncommitted_tree_dirty(
+        self, tmp_path, monkeypatch
+    ):
+        import shutil
+        import subprocess
+
+        from repro.runner.runner import _git_sha
+
+        if shutil.which("git") is None:
+            pytest.skip("git not installed")
+        monkeypatch.chdir(tmp_path)
+
+        def git(*args):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                check=True, capture_output=True,
+            )
+
+        git("init", "-q")
+        (tmp_path / "f.txt").write_text("a")
+        git("add", "f.txt")
+        git("commit", "-q", "-m", "c")
+        clean = _git_sha()
+        assert clean is not None and len(clean) == 40
+        (tmp_path / "untracked.txt").write_text("x")
+        assert _git_sha() == clean  # untracked files do not count
+        (tmp_path / "f.txt").write_text("b")
+        assert _git_sha() == f"{clean}-dirty"

@@ -251,7 +251,8 @@ class TestBenchCommand:
         path = self._bench(tmp_path, "a.json", capsys)
         payload = load_bench_json(path)
         for row in payload["runs"]:
-            row["events_per_s"] *= 0.5  # synthetic 2x slowdown
+            row["wall_s"] *= 2  # synthetic 2x slowdown
+            row["events_per_s"] *= 0.5
         slow = tmp_path / "slow.json"
         write_bench_json(payload, slow)
         assert main(["bench", "--compare", str(path), str(slow)]) == 1
@@ -307,6 +308,7 @@ class TestHistoryCommand:
         payload["created"] = created
         for row in payload["runs"]:
             row["events_per_s"] = 100_000.0 * factor
+            row["wall_s"] = row["events"] / row["events_per_s"]
         return write_bench_json(payload, tmp_path / name)
 
     def _seed_store(self, tmp_path, capsys, slow_last=False):
