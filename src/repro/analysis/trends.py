@@ -13,7 +13,8 @@ history store exists for:
   median of a trailing window of prior snapshots, verdicted with the
   same noise-hardening as ``compare_bench`` (per-cell tolerance, an
   aggregate-speed rule, and a quorum so one flaky cell can't fail the
-  check);
+  check); a verdict that evaluated no cell fails instead of passing
+  vacuously;
 - **scheduler-ranking drift** -- for every (workload, rate, DD) group,
   whether the throughput ranking of schedulers flipped between the
   trailing window and the latest snapshot (the regime-dependent
@@ -33,7 +34,11 @@ to store append order for artifacts that carry none (telemetry streams,
 EXPLAIN payloads).  Bench cells are keyed by (scheduler, workload,
 rate_tps, dd) *without* seed or duration, so runs of the same cell at
 different horizons are samples of the same series (the longest horizon
-wins when one snapshot holds several).
+wins when one snapshot holds several).  That pooling is a known
+approximation, not a property of the metric: speed is *not*
+horizon-free -- the committed baseline's paired cells give 60 s / 150 s
+events/s ratios of 0.64-1.06 -- so a sample at another horizon than its
+baseline is not a like-for-like comparison.
 """
 
 from __future__ import annotations
@@ -270,6 +275,12 @@ def detect_regressions(
     mem_aggregate = statistics.median(mem_ratios) if mem_ratios else None
 
     reasons = []
+    if not evaluated:
+        # a verdict over zero cells would pass vacuously
+        reasons.append(
+            f"no cell has {MIN_SAMPLES}+ speed samples across snapshots: "
+            "nothing was evaluated (ingest a prior run of the same matrix)"
+        )
     if aggregate is not None and aggregate < 1.0 - tolerance:
         reasons.append(
             f"median speed ratio {aggregate:.3f} below {1.0 - tolerance:.2f}"

@@ -39,6 +39,8 @@ RIGHT = "right"
 LEFT = "left"
 
 _DIRECTIONS = frozenset({RIGHT, LEFT})
+#: the one-direction set per direction
+_ONLY = {RIGHT: frozenset({RIGHT}), LEFT: frozenset({LEFT})}
 
 
 class ChainEdge:
@@ -195,26 +197,39 @@ def _on_same_path(wtpg: WTPG, start: int, goal: int) -> bool:
             return True
 
 
-def extract_components(wtpg: WTPG) -> typing.List[ChainComponent]:
-    """Split a chain-form WTPG into ordered path components.
+def component_node_orders(wtpg: WTPG) -> typing.List[typing.List[int]]:
+    """Ordered node lists of the path components, verified chain-form.
 
     Raises :class:`NotChainFormError` when the structure is not a union
     of paths.
 
-    The node ordering of the components depends only on the graph
-    *structure*, so it is cached on the WTPG keyed by its structure
-    version; repeated lock decisions against an unchanged graph skip the
-    chain-form re-verification and the component walk entirely.  The
-    (drifting) T0 weights and the direction constraints are re-read
-    fresh on every call.
+    The orders depend only on the undirected adjacency, which changes
+    only when a transaction joins or leaves (a fix turns a conflict edge
+    into a precedence edge on the same pair).  They are cached on the
+    WTPG keyed by its membership version, so lock decisions between two
+    membership changes skip the chain-form re-verification and the
+    component walk entirely.
     """
     cache = wtpg._chain_cache
-    version = wtpg.structure_version
-    if cache is not None and cache[0] == version:
-        node_orders = cache[1]
-    else:
-        node_orders = _component_node_orders(wtpg)
-        wtpg._chain_cache = (version, node_orders)
+    version = wtpg.membership_version
+    if cache is None or cache[0] != version:
+        cache = (version, _component_node_orders(wtpg))
+        wtpg._chain_cache = cache
+    return cache[1]
+
+
+def extract_components(
+    wtpg: WTPG, containing: typing.Optional[int] = None
+) -> typing.List[ChainComponent]:
+    """Split a chain-form WTPG into ordered path components.
+
+    With ``containing``, only the component holding that transaction is
+    built.  The (drifting) T0 weights and the direction constraints are
+    re-read fresh on every call.
+    """
+    node_orders = component_node_orders(wtpg)
+    if containing is not None:
+        node_orders = [o for o in node_orders if containing in o]
     return [_build_component(wtpg, ordered) for ordered in node_orders]
 
 
@@ -261,12 +276,12 @@ def _build_component(
         if wtpg.has_precedence(left, right):
             weight = wtpg.precedence_weight(left, right)
             edges.append(
-                ChainEdge(left, right, weight, math.nan, frozenset({RIGHT}))
+                ChainEdge(left, right, weight, math.nan, _ONLY[RIGHT])
             )
         elif wtpg.has_precedence(right, left):
             weight = wtpg.precedence_weight(right, left)
             edges.append(
-                ChainEdge(left, right, math.nan, weight, frozenset({LEFT}))
+                ChainEdge(left, right, math.nan, weight, _ONLY[LEFT])
             )
         else:
             conflict = wtpg.conflict_edge(left, right)
@@ -276,7 +291,7 @@ def _build_component(
                     right,
                     conflict.weight(left, right),
                     conflict.weight(right, left),
-                    frozenset({RIGHT, LEFT}),
+                    _DIRECTIONS,
                 )
             )
     return ChainComponent(
@@ -347,23 +362,18 @@ def _feasible(
     edges = component.edges
     bound = theta + eps
 
+    allowed = [edge.allowed for edge in edges]
     if forced:
-        def allowed(i: int) -> typing.FrozenSet[str]:
-            if i in forced:
-                direction = forced[i]
-                if direction not in edges[i].allowed:
-                    return frozenset()
-                return frozenset({direction})
-            return edges[i].allowed
-    else:
-        def allowed(i: int) -> typing.FrozenSet[str]:
-            return edges[i].allowed
+        for i, direction in forced.items():
+            allowed[i] = (
+                _ONLY[direction] if direction in allowed[i] else frozenset()
+            )
 
     right_state: typing.Optional[float] = None  # minimal h for an open R run
     left_states: typing.List[typing.Tuple[float, float]] = []  # (cum, m)
 
     # edge 0
-    directions = allowed(0)
+    directions = allowed[0]
     edge = edges[0]
     if RIGHT in directions:
         h = w0[0] + edge.weight_right
@@ -383,7 +393,7 @@ def _feasible(
 
     for i in range(1, k - 1):
         edge = edges[i]
-        directions = allowed(i)
+        directions = allowed[i]
         new_right: typing.Optional[float] = None
         new_left: typing.List[typing.Tuple[float, float]] = []
         node_w = w0[i + 1]
@@ -534,17 +544,22 @@ class SerializableOrder:
         return self._orientations[key] == (i, j)
 
 
-def compute_optimal_order(wtpg: WTPG) -> SerializableOrder:
+def compute_optimal_order(
+    wtpg: WTPG, containing: typing.Optional[int] = None
+) -> SerializableOrder:
     """GOW Phase 2: the full serializable order minimising the critical path.
 
     Components are independent: the global critical path is the max over
-    components, each minimised separately.
+    components, each minimised separately.  With ``containing``, only
+    the component holding that transaction is solved: W orients its
+    edges exactly as the full call does, and ``critical_path`` is that
+    component's optimum.
     """
     orientations: typing.Dict[
         typing.FrozenSet[int], typing.Tuple[int, int]
     ] = {}
     worst = 0.0
-    for component in extract_components(wtpg):
+    for component in extract_components(wtpg, containing):
         value, directions = solve_component(component)
         worst = max(worst, value)
         for edge, direction in zip(component.edges, directions):

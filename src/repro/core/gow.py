@@ -20,6 +20,7 @@ import typing
 
 from repro.core.base import Decision, Scheduler, WTPGSchedulerMixin
 from repro.core.chain import (
+    component_node_orders,
     compute_optimal_order,
     keeps_chain_form_incremental,
 )
@@ -61,16 +62,15 @@ class GOWScheduler(WTPGSchedulerMixin, Scheduler):
         # Phase 1: blocked by a held lock?
         if not self.lock_table.is_compatible(file_id, mode):
             return Decision.BLOCK
-        # Phase 2: compute the optimal full serializable order W.  The
-        # decision after the CPU wait is atomic; the lock may have been
-        # taken while we computed, so re-check Phase 1.
+        # Phases 2-3: delay q if its precedence consequences contradict
+        # the optimal full serializable order W.  The decision after the
+        # CPU wait is atomic; the lock may have been taken while we
+        # computed, so re-check Phase 1.
         yield from self.control_node.consume(self.config.chaintime_ms, "cc-gow")
         if not self.lock_table.is_compatible(file_id, mode):
             return Decision.BLOCK
-        order = compute_optimal_order(self.wtpg)
-        # Phase 3: delay q if its precedence consequences contradict W.
         fixes = self.wtpg.fixes_for_grant(txn.txn_id, file_id)
-        consistent = all(order.consistent_with_fix(i, j) for i, j in fixes)
+        consistent = self._consistent_with_order(txn.txn_id, fixes)
         if self._trace.enabled:
             # the chain orientation GOW committed to for this decision
             self._trace.emit(
@@ -88,6 +88,26 @@ class GOWScheduler(WTPGSchedulerMixin, Scheduler):
         if self._trace.enabled:
             self._emit_wtpg_fixes(applied)
         return Decision.GRANT
+
+    def _consistent_with_order(
+        self, txn_id: int, fixes: typing.List[typing.Tuple[int, int]]
+    ) -> bool:
+        """Does every fix agree with W?  Computes only what that reads.
+
+        The chain-form verification runs for every decision.  With no
+        fixes W is never read.  W honours every determined edge, so a fix
+        reversing one contradicts it.  Every other fix is a conflict edge
+        at the requester, and W orients each component independently, so
+        only the requester's component is solved.
+        """
+        wtpg = self.wtpg
+        component_node_orders(wtpg)
+        if not fixes:
+            return True
+        if any(wtpg.has_precedence(j, i) for i, j in fixes):
+            return False
+        order = compute_optimal_order(wtpg, containing=txn_id)
+        return all(order.consistent_with_fix(i, j) for i, j in fixes)
 
     def _on_commit(self, txn: BatchTransaction) -> typing.Generator:
         self._deregister_from_wtpg(txn)

@@ -114,36 +114,48 @@ class LOWScheduler(WTPGSchedulerMixin, Scheduler):
         )
         if not self.lock_table.is_compatible(file_id, mode):
             return Decision.BLOCK  # lock taken while we computed
-        # Phase 2: E(q); deadlock delays q.
-        e_q = self.wtpg.hypothetical_grant_critical_path(txn.txn_id, file_id)
-        if math.isinf(e_q):
-            if self._trace.enabled:
-                self._trace.emit(
-                    self.env.now, "sched.e_eval", txn=txn.txn_id,
-                    file=file_id, e_q=e_q, granted=False,
-                )
-            return Decision.DELAY
-        # Phase 3: grant only if E(q) <= E(p) for every p in C(q).
-        for other_id in self._conflicting_declarations(txn, file_id, mode):
-            e_p = self.wtpg.hypothetical_grant_critical_path(other_id, file_id)
-            if e_q > e_p:
-                if self._trace.enabled:
-                    self._trace.emit(
-                        self.env.now, "sched.e_eval", txn=txn.txn_id,
-                        file=file_id, e_q=e_q, granted=False,
-                    )
-                return Decision.DELAY
+        # Phases 2-3: E(q), and the E(p) it must not exceed.
+        e_q, granted = self._e_verdict(txn, file_id, mode)
         if self._trace.enabled:
             self._trace.emit(
                 self.env.now, "sched.e_eval", txn=txn.txn_id,
-                file=file_id, e_q=e_q, granted=True,
+                file=file_id, e_q=e_q, granted=granted,
             )
+        if not granted:
+            return Decision.DELAY
         # Granted; Phase 4 fixes newly determined precedence edges.
         self._grant_lock(txn, file_id, mode)
         applied = self.wtpg.grant(txn.txn_id, file_id)
         if self._trace.enabled:
             self._emit_wtpg_fixes(applied)
         return Decision.GRANT
+
+    def _e_verdict(
+        self, txn: BatchTransaction, file_id: int, mode: AccessMode
+    ) -> typing.Tuple[float, bool]:
+        """(E(q), grant?): q is granted iff E(q) <= E(p) for every p in
+        C(q); a deadlock (E(q) = inf) delays it.
+
+        One critical path of the live graph is the base of every E()
+        here.  Each E(p) is at least that base, so E(q) == base grants
+        without evaluating any E(p).
+        """
+        wtpg = self.wtpg
+        base = wtpg.critical_path_length()
+        e_q = wtpg.hypothetical_grant_critical_path(
+            txn.txn_id, file_id, base=base
+        )
+        if math.isinf(e_q):
+            return e_q, False
+        if e_q == base:
+            return e_q, True
+        for other_id in self._conflicting_declarations(txn, file_id, mode):
+            e_p = wtpg.hypothetical_grant_critical_path(
+                other_id, file_id, base=base
+            )
+            if e_q > e_p:
+                return e_q, False
+        return e_q, True
 
     def _on_commit(self, txn: BatchTransaction) -> typing.Generator:
         self._deregister_from_wtpg(txn)

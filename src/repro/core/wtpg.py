@@ -54,8 +54,15 @@ Incremental maintenance invariants (the kernel-speed campaign):
 - Hypothetical evaluation (LOW's E function) no longer copies the graph:
   mutations made while ``_journal`` is active append undo records
   (conflict-edge deletion, precedence insertion, level raise, L raise)
-  that :meth:`_rollback` replays in reverse, restoring the structure --
-  including the structure version, so topology caches stay valid.
+  that :meth:`_rollback` replays in reverse, restoring the structure.
+  Hypothetical fixes only raise suffix distances and T0 weights cannot
+  move within one call, so E is the live critical path raised by just
+  the nodes whose L the journal raised: one full pass over the nodes
+  per decision (the base), none per E().
+- ``membership_version`` changes only when a transaction joins or
+  leaves.  A fix turns a conflict edge into a precedence edge on the
+  same pair, so the undirected adjacency (what chain-form topology
+  caches read) cannot change without a membership change.
 - Transitive propagation is restricted to candidates that a *new* edge
   could force: any new path i ~> j passes through a just-inserted edge
   (s, t) with i an ancestor of s and j a descendant of t, so
@@ -122,9 +129,9 @@ class WTPG:
         self._longest: typing.Dict[int, float] = {}
         #: undo log; non-None only inside hypothetical evaluation
         self._journal: typing.Optional[typing.List[typing.Tuple]] = None
-        #: bumped on every structural mutation (nodes/edges), restored on
-        #: hypothetical rollback; topology caches key off this
-        self.structure_version = 0
+        #: bumped when a transaction joins or leaves; the undirected
+        #: adjacency changes only then, so topology caches key off this
+        self.membership_version = 0
         #: chain-component cache slot owned by repro.core.chain
         self._chain_cache: typing.Optional[
             typing.Tuple[int, typing.List[typing.List[int]]]
@@ -183,7 +190,7 @@ class WTPG:
         for file_id in txn.files:
             index = self._writers if txn.writes(file_id) else self._readers
             index.setdefault(file_id, set()).add(txn.txn_id)
-        self.structure_version += 1
+        self.membership_version += 1
 
     def remove_transaction(self, txn_id: int) -> None:
         """Drop a committed/aborted transaction and its incident edges.
@@ -216,7 +223,7 @@ class WTPG:
         self._longest.pop(txn_id, None)
         if preds:
             self._lower_longest(preds)
-        self.structure_version += 1
+        self.membership_version += 1
 
     @staticmethod
     def _blocked_weight(
@@ -425,7 +432,6 @@ class WTPG:
             journal.append(("edge", i, j))
         self._raise_level(i, j)
         self._raise_longest(i, weight + self._longest[j])
-        self.structure_version += 1
 
     def _raise_level(self, source: int, target: int) -> None:
         """Restore ``level(u) < level(v)`` after adding source -> target.
@@ -664,10 +670,8 @@ class WTPG:
         distances reduce the longest path to one pass over the (drifting)
         T0 weights.
         """
-        level = self._level
-        for i, j in self._precedence:
-            if level[i] >= level[j]:
-                return math.inf
+        if not self._levels_certify_acyclic():
+            return math.inf
         longest = self._longest
         t0_weight = self.t0_weight
         best = 0.0
@@ -676,6 +680,14 @@ class WTPG:
             if value > best:
                 best = value
         return best
+
+    def _levels_certify_acyclic(self) -> bool:
+        """``level(i) < level(j)`` for every precedence edge i -> j."""
+        level = self._level
+        for i, j in self._precedence:
+            if level[i] >= level[j]:
+                return False
+        return True
 
     def _recompute_longest(self) -> typing.Dict[int, float]:
         """Reference backward recompute of all suffix distances."""
@@ -692,31 +704,47 @@ class WTPG:
     # -- hypothetical evaluation (LOW's E function) -----------------------------
 
     def hypothetical_grant_critical_path(
-        self, txn_id: int, file_id: int
+        self, txn_id: int, file_id: int, base: typing.Optional[float] = None
     ) -> float:
         """E(q) of Fig. 5: critical path after granting q, or inf on deadlock.
 
         The fixes (direct and transitive) are applied against the live
         structure under an undo journal and rolled back before returning;
         the graph the caller sees is untouched.
+
+        ``base`` is the live graph's :meth:`critical_path_length`; a caller
+        evaluating several requests in one atomic decision computes it
+        once.  The fixes only raise suffix distances and the T0 weights
+        cannot move within the call, so E is the larger of ``base`` and
+        ``t0_weight(n) + L(n)`` over the nodes whose L the journal raised
+        -- bit-exact against a full recompute.
         """
         fixes = self.fixes_for_grant(txn_id, file_id)
         if self.creates_cycle(fixes):
             return math.inf
+        if base is None:
+            base = self.critical_path_length()
         if self._journal is not None:
             raise RuntimeError("nested hypothetical evaluation")
         journal: typing.List[typing.Tuple] = []
         self._journal = journal
-        version = self.structure_version
         try:
             for i, j in fixes:
                 self.apply_fix(i, j)
             self.propagate_transitive_fixes(touched=fixes)
-            return self.critical_path_length()
+            if not self._levels_certify_acyclic():
+                return math.inf
+            longest = self._longest
+            t0_weight = self.t0_weight
+            best = base
+            for node in {entry[1] for entry in journal if entry[0] == "longest"}:
+                value = t0_weight(node) + longest[node]
+                if value > best:
+                    best = value
+            return best
         finally:
             self._journal = None
             self._rollback(journal)
-            self.structure_version = version
 
     def _rollback(self, journal: typing.List[typing.Tuple]) -> None:
         """Undo journaled mutations in reverse order."""

@@ -109,7 +109,9 @@ class TestRegressions:
         verdict = detect_regressions(series)
         assert verdict["evaluated"] == 0
         assert verdict["cells"][0]["status"] == "insufficient"
-        assert verdict["ok"] is True
+        # nothing evaluated is a failure, not a vacuous pass
+        assert verdict["ok"] is False
+        assert any("nothing was evaluated" in r for r in verdict["reasons"])
 
     def test_trailing_median_absorbs_one_bad_historical_sample(self):
         # a historic dip does not drag the baseline: median of the

@@ -1,11 +1,18 @@
-"""Unit and property tests for the chain-form machinery (GOW's core)."""
+"""Unit and property tests for the chain-form machinery (GOW's core).
+
+GOW's lock decision computes only what its verdict reads: no W at all
+without fixes, a DELAY for a fix reversing a determined edge, and
+otherwise only the requester's component of W, from component orders
+cached by membership version.  The property tests below pin each of
+those against the full computation on random chain-form graphs.
+"""
 
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import WTPG
+from repro.core import WTPG, GOWScheduler
 from repro.core.chain import (
     LEFT,
     RIGHT,
@@ -13,13 +20,18 @@ from repro.core.chain import (
     ChainEdge,
     NotChainFormError,
     brute_force_component,
+    component_node_orders,
     compute_optimal_order,
     extract_components,
     is_union_of_paths,
     keeps_chain_form,
+    keeps_chain_form_incremental,
     solve_component,
+    _component_node_orders,
     _orientation_value,
 )
+from repro.des import Environment
+from repro.machine import ControlNode, MachineConfig
 from repro.txn import AccessMode, BatchTransaction, Step
 
 
@@ -277,3 +289,133 @@ class TestComputeOptimalOrder:
         wtpg.add_transaction(txn(2, [(5, "w", 11.0)]))
         order = compute_optimal_order(wtpg)
         assert order.critical_path == pytest.approx(11.0)
+
+
+# -- randomized chain-form op sequences ----------------------------------------
+
+NUM_FILES = 8
+
+#: a newcomer declares one or two consecutive files starting at (or just
+#: past) its id, so successive admissions grow long paths that the
+#: chain-form gate then keeps chain-form
+chain_ops = st.lists(
+    st.tuples(
+        st.sampled_from([0, 0, 0, 0, 1, 1, 1, 2]),  # add, grant, remove
+        st.integers(min_value=0, max_value=63),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["r", "w", "w"]),
+                st.floats(min_value=0.0, max_value=5.0),
+            ),
+            min_size=1,
+            max_size=2,
+        ),
+    ),
+    min_size=10,
+    max_size=40,
+)
+
+
+def drive_chain(wtpg, ops, after_each):
+    """Random admissions (chain-form gated, as GOW's Phase 0), grants
+    (deadlock-free only) and removals against a live chain-form graph."""
+    next_id = 1
+    for kind, pick, spec in ops:
+        ids = wtpg.txn_ids
+        if kind == 0 or not ids:
+            start = next_id + pick // 48
+            newcomer = txn(next_id, [
+                ((start + offset) % NUM_FILES, op, cost)
+                for offset, (op, cost) in enumerate(spec)
+            ])
+            next_id += 1
+            if keeps_chain_form_incremental(wtpg, newcomer):
+                wtpg.add_transaction(newcomer)
+        elif kind == 1:
+            txn_id = ids[pick % len(ids)]
+            file_id = pick % NUM_FILES
+            if file_id in wtpg.transaction(txn_id).files:
+                fixes = wtpg.fixes_for_grant(txn_id, file_id)
+                if not wtpg.creates_cycle(fixes):
+                    wtpg.grant(txn_id, file_id, fixes=fixes)
+        else:
+            wtpg.remove_transaction(ids[pick % len(ids)])
+        after_each(wtpg)
+
+
+def make_gow():
+    env = Environment()
+    config = MachineConfig()
+    return GOWScheduler(env, config, ControlNode(env, config))
+
+
+class TestDecisionWork:
+    @given(ops=chain_ops)
+    @settings(max_examples=60, deadline=None)
+    def test_membership_keyed_orders_match_fresh(self, ops):
+        ops_since_read = []
+
+        def check(graph):
+            # read the cache every third op only: a commit and an
+            # admission in between keep the size but change membership
+            ops_since_read.append(None)
+            if len(ops_since_read) < 3:
+                return
+            ops_since_read.clear()
+            assert component_node_orders(graph) == _component_node_orders(
+                graph
+            )
+
+        drive_chain(WTPG(), ops, check)
+
+    @given(ops=chain_ops)
+    @settings(max_examples=60, deadline=None)
+    def test_requester_component_orients_like_full_order(self, ops):
+        def check(graph):
+            full = compute_optimal_order(graph)
+            for txn_id in graph.txn_ids:
+                part = compute_optimal_order(graph, containing=txn_id)
+                for other_id in graph.neighbors(txn_id):
+                    assert part.direction(txn_id, other_id) == full.direction(
+                        txn_id, other_id
+                    )
+
+        drive_chain(WTPG(), ops, check)
+
+    @given(ops=chain_ops)
+    @settings(max_examples=60, deadline=None)
+    def test_gow_verdicts_match_full_order(self, ops):
+        gow = make_gow()
+
+        def check(graph):
+            full = compute_optimal_order(graph)
+            for txn_id in graph.txn_ids:
+                for file_id in graph.transaction(txn_id).files:
+                    fixes = graph.fixes_for_grant(txn_id, file_id)
+                    expected = all(
+                        full.consistent_with_fix(i, j) for i, j in fixes
+                    )
+                    assert gow._consistent_with_order(txn_id, fixes) == expected
+
+        drive_chain(gow.wtpg, ops, check)
+
+    def test_fix_reversing_a_determined_edge_is_inconsistent(self):
+        gow = make_gow()
+        gow.wtpg.add_transaction(txn(1, [(0, "w", 1.0), (1, "w", 1.0)]))
+        gow.wtpg.add_transaction(txn(2, [(0, "w", 1.0), (1, "w", 1.0)]))
+        gow.wtpg.grant(2, 0)  # determines T2 -> T1
+        fixes = gow.wtpg.fixes_for_grant(1, 1)
+        assert fixes == [(1, 2)]
+        assert not compute_optimal_order(gow.wtpg).consistent_with_fix(1, 2)
+        assert not gow._consistent_with_order(1, fixes)
+
+    def test_no_fixes_still_verifies_chain_form(self):
+        gow = make_gow()
+        # star: T1, T2, T3 all conflict with T4 on distinct files; T5
+        # declares a file nobody else does, so its grant has no fixes
+        gow.wtpg.add_transaction(txn(4, [(0, "w", 1), (1, "w", 1), (2, "w", 1)]))
+        for txn_id, file_id in ((1, 0), (2, 1), (3, 2), (5, 7)):
+            gow.wtpg.add_transaction(txn(txn_id, [(file_id, "w", 1)]))
+        assert gow.wtpg.fixes_for_grant(5, 7) == []
+        with pytest.raises(NotChainFormError):
+            gow._consistent_with_order(5, [])

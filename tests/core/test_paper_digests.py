@@ -7,7 +7,8 @@ so any change there must leave the paper schedulers' results
 byte-identical.  Each digest below is the sha256 of
 ``json.dumps(result.to_dict(), sort_keys=True)`` for a short exp1 cell;
 every cell at lambda = 1.2 exercises blocks, and GOW/LOW/LOW-LB cells
-exercise the retry fallback.
+exercise the retry fallback.  The exp2 cells put S locks beside X locks
+on the 8 hot files, so GOW/LOW decide between readers and writers there.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ import pytest
 
 from repro.machine import MachineConfig
 from repro.sim import run_simulation
-from repro.txn import experiment1_workload
+from repro.txn import experiment1_workload, experiment2_workload
 
 #: (scheduler, rate_tps, dd) -> digest, exp1, seed 1, 60 s with 5 s warm-up
 DIGESTS = {
@@ -56,6 +57,20 @@ DIGESTS = {
 }
 
 
+#: (scheduler, rate_tps, dd) -> digest, exp2, seed 1, 200 s with 5 s warm-up
+EXP2_DIGESTS = {
+    ("GOW", 0.6, 1): "d074f1dbc245d9df689c8db8531406048418a585030e2c2bc1142cef93fb1ca1",
+    ("GOW", 0.6, 4): "2cc21ba4954fad0e5c8ec3c7982966bff06a5ff7fadc632be74e59cb0801dbf2",
+    ("LOW", 0.6, 1): "2d7d8fcba479579dd01c451af97c8fed8c9d7e553200b105116bc2b4706af7c1",
+    ("LOW", 0.6, 4): "eb9d46fb41aaf612c5dbcf34682bb3e333d445dfc28c7e47926a7022a8de7259",
+}
+
+
+def _digest(result):
+    payload = json.dumps(result.to_dict(), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
     "scheduler, rate, dd", sorted(DIGESTS), ids=lambda v: str(v)
 )
@@ -68,6 +83,19 @@ def test_paper_scheduler_results_are_pinned(scheduler, rate, dd):
         duration_ms=60_000.0,
         warmup_ms=5_000.0,
     )
-    payload = json.dumps(result.to_dict(), sort_keys=True)
-    digest = hashlib.sha256(payload.encode()).hexdigest()
-    assert digest == DIGESTS[(scheduler, rate, dd)]
+    assert _digest(result) == DIGESTS[(scheduler, rate, dd)]
+
+
+@pytest.mark.parametrize(
+    "scheduler, rate, dd", sorted(EXP2_DIGESTS), ids=lambda v: str(v)
+)
+def test_exp2_hot_set_results_are_pinned(scheduler, rate, dd):
+    result = run_simulation(
+        scheduler,
+        experiment2_workload(rate),
+        MachineConfig(dd=dd),
+        seed=1,
+        duration_ms=200_000.0,
+        warmup_ms=5_000.0,
+    )
+    assert _digest(result) == EXP2_DIGESTS[(scheduler, rate, dd)]

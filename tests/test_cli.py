@@ -384,6 +384,23 @@ class TestHistoryCommand:
         assert main(["history", "check", "--store", str(store)]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
+    def test_check_fails_when_no_cell_is_evaluated(self, tmp_path, capsys):
+        """One snapshot gives no cell a baseline: the check must fail
+        with a reason instead of passing over zero cells."""
+        store = tmp_path / "history"
+        template = self._template(tmp_path, capsys)
+        only = self._bench_artifact(
+            tmp_path, template, "only.json", 1.0, "2026-01-01T00:00:00Z"
+        )
+        assert main([
+            "history", "ingest", str(only), "--store", str(store),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["history", "check", "--store", str(store)]) == 1
+        out = capsys.readouterr().out
+        assert "0 cell(s) evaluated" in out
+        assert "nothing was evaluated" in out
+
     def test_empty_store_is_an_error(self, tmp_path, capsys):
         assert main([
             "history", "report", "--store", str(tmp_path / "empty"),
