@@ -10,6 +10,8 @@ Public surface:
 - :class:`Environment` -- event loop, clock, process spawning.
 - :class:`Event` / :class:`Timeout` / :class:`AllOf` / :class:`AnyOf` --
   awaitable events yielded from process generators.
+- :class:`Join` -- a counted AllOf: fires where an AllOf over its
+  arrivals would, with two heap entries instead of one per arrival.
 - :class:`Process` -- a running generator; itself awaitable.
 - :class:`Interrupt` -- exception thrown into an interrupted process.
 - :class:`Resource` -- FIFO multi-server resource (used for CPUs).
@@ -19,7 +21,7 @@ Public surface:
 """
 
 from repro.des.engine import Environment, StopSimulation
-from repro.des.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.des.events import AllOf, AnyOf, Event, Interrupt, Join, Timeout
 from repro.des.process import Process
 from repro.des.resources import Request, Resource, Store
 from repro.des.rng import RandomStreams
@@ -32,6 +34,7 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
+    "Join",
     "Process",
     "RandomStreams",
     "Request",

@@ -205,6 +205,55 @@ class AllOf(Condition):
         super().__init__(env, lambda evs, count: count >= len(evs), events)
 
 
+class Join(Event):
+    """Fires after ``count`` arrivals, exactly where an :class:`AllOf`
+    over ``count`` events, each succeeded at one arrival, would fire.
+
+    Such an AllOf takes ``count + 1`` heap entries; a join takes two.
+    Arrivals only decrement :attr:`pending`.  The last one calls
+    :meth:`release`, which schedules a relay event in the slot the last
+    member would have taken; the relay's callback schedules the join in
+    the slot the AllOf would have taken.  The relay is what keeps
+    same-instant ties: a join scheduled at the last arrival would run
+    its waiters ahead of the events scheduled for that instant between
+    the arrival and the relay's pop, which an AllOf runs first.
+
+    The join reads as triggered from the last arrival on, although its
+    own heap entry is taken only when the relay fires.
+    """
+
+    __slots__ = ("pending",)
+
+    def __init__(self, env: "Environment", count: int) -> None:
+        if count < 1:
+            raise ValueError(f"a join needs >= 1 arrival, got {count}")
+        super().__init__(env)
+        #: arrivals still outstanding; callers decrement it directly and
+        #: call :meth:`release` when it reaches zero
+        self.pending = count
+
+    def arrive(self) -> None:
+        """Count one arrival (the hot callers inline this)."""
+        self.pending -= 1
+        if not self.pending:
+            self.release()
+
+    def release(self) -> None:
+        """Trigger the join via the relay (called at the last arrival)."""
+        if self._triggered:
+            raise RuntimeError(f"{self!r} has already been triggered")
+        self._value = None
+        self._triggered = True
+        relay = Event(self.env)
+        relay._value = None
+        relay._triggered = True
+        relay.callbacks.append(self._schedule)
+        self.env.schedule(relay)
+
+    def _schedule(self, _relay: Event) -> None:
+        self.env.schedule(self)
+
+
 class AnyOf(Condition):
     """Fires when at least one sub-event has fired."""
 

@@ -6,6 +6,13 @@ resident cohorts in a round-robin manner, the service quantum being the
 scan of 1/DD object (so a quantum lasts ``obj_time / DD`` ms).  The only
 DPN cost is I/O (``ObjTime`` per object); cohort-initiation control
 overhead is ignored, as in the paper.
+
+All cohorts of a step share one :class:`~repro.des.Join`; a DPN
+decrements it when a cohort finishes, and the last cohort releases it.
+The join fires through a relay event because quanta lie on a lattice of
+``obj_time / DD`` ms and CN costs are whole milliseconds: other events
+are often due at the instant a step completes, and without the relay
+the waiting transaction would run ahead of some of them.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import collections
 import math
 import typing
 
-from repro.des import Environment, Event, Timeout
+from repro.des import Environment, Event, Join, Timeout
 from repro.des.monitor import TimeWeighted
 from repro.obs.profile import profiled
 
@@ -27,6 +34,9 @@ class Cohort:
 
     ``objects`` is the cohort's total I/O demand in objects (step cost /
     DD) and ``quantum_objects`` the round-robin service unit (1/DD object).
+    ``join`` is the step's join, which the cohort's DPN decrements when
+    the scan is complete; a cohort built without one gets a join of its
+    own.
     """
 
     __slots__ = (
@@ -36,7 +46,7 @@ class Cohort:
         "objects",
         "scanned",
         "quantum_objects",
-        "done",
+        "join",
     )
 
     def __init__(
@@ -47,6 +57,7 @@ class Cohort:
         node_id: int,
         objects: float,
         quantum_objects: float,
+        join: typing.Optional[Join] = None,
     ) -> None:
         if objects < 0:
             raise ValueError(f"cohort objects must be >= 0, got {objects}")
@@ -60,8 +71,7 @@ class Cohort:
         self.objects = objects
         self.scanned = 0.0
         self.quantum_objects = quantum_objects
-        #: fires when the cohort's whole scan is complete
-        self.done: Event = env.event()
+        self.join = join if join is not None else Join(env, 1)
 
     @property
     def remaining(self) -> float:
@@ -100,18 +110,18 @@ class DataProcessingNode:
 
     # -- public interface ----------------------------------------------------
 
-    def submit(self, cohort: Cohort) -> Event:
-        """Enqueue ``cohort`` for service; returns its completion event."""
+    def submit(self, cohort: Cohort) -> Join:
+        """Enqueue ``cohort`` for service; returns its step's join."""
         if cohort.node_id != self.node_id:
             raise ValueError(
                 f"cohort for node {cohort.node_id} submitted to {self.node_id}"
             )
-        if cohort.finished:
+        # ``cohort.finished`` inlined: submit runs once per cohort
+        if cohort.objects - cohort.scanned <= _EPSILON:
             # zero-cost cohorts complete immediately (cost-0 steps exist in
             # workloads where a declared demand rounds to zero)
-            if not cohort.done.triggered:
-                cohort.done.succeed(cohort)
-            return cohort.done
+            cohort.join.arrive()
+            return cohort.join
         self._ring.append(cohort)
         self.queue.update(self.env.now, len(self._ring))
         if self._trace.enabled:
@@ -121,7 +131,7 @@ class DataProcessingNode:
             )
         if not self._arrival.triggered:
             self._arrival.succeed()
-        return cohort.done
+        return cohort.join
 
     @property
     def active_cohorts(self) -> int:
@@ -182,9 +192,10 @@ class DataProcessingNode:
             cohort.scanned += quantum
             if cohort.objects - cohort.scanned <= _EPSILON:
                 cohort.scanned = cohort.objects
-                done = cohort.done
-                if not done._triggered:
-                    done.succeed(cohort)
+                join = cohort.join
+                join.pending -= 1
+                if not join.pending:
+                    join.release()
             else:
                 ring.append(cohort)
             depth = len(ring)

@@ -6,17 +6,24 @@ step: CN sends the transaction to the file's home node, the step is split
 into DD cohorts served round-robin on the DD nodes holding the file's
 partitions, the cohorts drain back to the home node and the transaction
 returns to the CN.
+
+The transaction waits for its cohorts on one :class:`~repro.des.Join`
+per step, two heap entries in all, not on a done event per cohort and
+an AllOf (DD + 1 entries).  The join needs its relay event to resume
+the transaction at the heap position the AllOf had: same-instant ties
+are common, and results must stay byte-identical through them.
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro.des import Environment
+from repro.des import Environment, Join
 from repro.machine.config import MachineConfig
 from repro.machine.control_node import ControlNode
 from repro.machine.data_node import Cohort, DataProcessingNode
 from repro.machine.placement import DataPlacement
+from repro.obs.profile import profiled_calls
 from repro.obs.timeseries import (
     gauge,
     size_hist,
@@ -26,16 +33,34 @@ from repro.obs.timeseries import (
 
 
 class StepExecution:
-    """Live progress of one step's scan (drives WTPG T0-weight updates)."""
+    """One step's scan: its cohorts, their live progress (which drives
+    the WTPG T0-weight updates) and the join the transaction waits on."""
 
-    __slots__ = ("file_id", "declared_cost", "cohorts", "_total_objects")
+    __slots__ = (
+        "txn_id",
+        "file_id",
+        "step_index",
+        "declared_cost",
+        "cohorts",
+        "join",
+        "_total_objects",
+    )
 
     def __init__(
-        self, file_id: int, declared_cost: float, cohorts: typing.List[Cohort]
+        self,
+        txn_id: int,
+        file_id: int,
+        step_index: int,
+        declared_cost: float,
+        cohorts: typing.List[Cohort],
+        join: Join,
     ) -> None:
+        self.txn_id = txn_id
         self.file_id = file_id
+        self.step_index = step_index
         self.declared_cost = declared_cost
         self.cohorts = cohorts
+        self.join = join
         # cohort demands are fixed at construction, so the denominator
         # of fraction_done() -- evaluated per WTPG node per scheduler
         # decision -- is summed once (same association as the property)
@@ -78,13 +103,22 @@ class SharedNothingMachine:
             DataProcessingNode(env, node_id, config.obj_time_ms)
             for node_id in range(config.num_nodes)
         ]
+        self._trace = env.trace
+        cn = self.control_node
+        self._send_message = profiled_calls(
+            cn.send_message, env.profile, "machine.msg"
+        )
+        self._receive_message = profiled_calls(
+            cn.receive_message, env.profile, "machine.msg"
+        )
 
     def begin_step(
-        self, txn_id: int, file_id: int, cost: float
+        self, txn_id: int, file_id: int, cost: float, step_index: int = 0
     ) -> StepExecution:
         """Create (but do not submit) the cohorts for one step."""
         nodes = self.placement.nodes_for(file_id)
         dd = len(nodes)
+        join = Join(self.env, dd)
         per_cohort = cost / dd
         quantum = 1.0 / dd
         cohorts = [
@@ -95,31 +129,41 @@ class SharedNothingMachine:
                 node_id=node_id,
                 objects=per_cohort,
                 quantum_objects=quantum,
+                join=join,
             )
             for node_id in nodes
         ]
-        return StepExecution(file_id, cost, cohorts)
+        return StepExecution(txn_id, file_id, step_index, cost, cohorts, join)
 
-    def run_step(
-        self, txn_id: int, file_id: int, cost: float
-    ) -> typing.Generator:
-        """Process generator executing one read/write step end to end.
+    def run_step(self, execution: StepExecution) -> typing.Generator:
+        """Process generator executing one begun step end to end.
 
-        Returns the :class:`StepExecution` so the caller can inspect
-        progress; the generator finishes when all cohorts have scanned
-        their partitions and the transaction is back at the CN.
+        Finishes when every cohort has scanned its partition and the
+        transaction is back at the CN.  Emits ``txn.step_start`` and
+        ``txn.step_end`` when tracing.
         """
-        execution = self.begin_step(txn_id, file_id, cost)
+        env = self.env
+        trace = self._trace
+        if trace.enabled:
+            trace.emit(
+                env.now, "txn.step_start", txn=execution.txn_id,
+                file=execution.file_id, step=execution.step_index,
+                cost=execution.declared_cost,
+            )
         # CN -> home node: one message send (cohort fan-out at the home
         # node is a DPN control overhead the paper ignores).
-        yield from self.control_node.send_message()
-        completion_events = [
-            self.data_nodes[c.node_id].submit(c) for c in execution.cohorts
-        ]
-        yield self.env.all_of(completion_events)
+        yield from self._send_message()
+        nodes = self.data_nodes
+        for cohort in execution.cohorts:
+            nodes[cohort.node_id].submit(cohort)
+        yield execution.join
         # home node -> CN: one message receive.
-        yield from self.control_node.receive_message()
-        return execution
+        yield from self._receive_message()
+        if trace.enabled:
+            trace.emit(
+                env.now, "txn.step_end", txn=execution.txn_id,
+                file=execution.file_id, step=execution.step_index,
+            )
 
     def timeseries_probes(
         self,

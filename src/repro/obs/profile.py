@@ -200,3 +200,19 @@ def profiled(
             raise
         except BaseException as exc:
             thrown = exc
+
+
+def profiled_calls(
+    fn: typing.Callable[..., typing.Generator],
+    profiler: SimProfiler,
+    phase: str,
+) -> typing.Callable[..., typing.Generator]:
+    """``fn`` itself with the profiler off; on, ``fn`` whose generators
+    are driven through :func:`profiled` as ``phase``.
+
+    Decides once, at build time, so an unprofiled run pays no wrapper
+    generator per call.
+    """
+    if not profiler.enabled:
+        return fn
+    return lambda *args: profiled(fn(*args), profiler, phase)

@@ -27,7 +27,7 @@ from repro.des import Environment, RandomStreams
 from repro.des.monitor import TimeWeighted
 from repro.machine.config import MachineConfig
 from repro.machine.machine import SharedNothingMachine
-from repro.obs.profile import SimProfiler, profiled
+from repro.obs.profile import SimProfiler, profiled_calls
 from repro.obs.recorder import NULL_RECORDER, TraceRecorder
 from repro.obs.timeseries import TimeSeriesSampler, gauge, windowed_rate
 from repro.sim.metrics import MetricsCollector, SimulationResult
@@ -93,6 +93,9 @@ class Simulation:
                 scheduler, self.env, config, self.machine.control_node
             )
         self.scheduler.bind_machine(self.machine)
+        self._cn_slice = profiled_calls(
+            self.machine.control_node.consume, self.env.profile, "machine.cn"
+        )
         self.metrics = MetricsCollector()
         self.in_flight = TimeWeighted(self.env.now, 0.0, "in-flight")
         self._next_restart_id = 10_000_000  # ids for restarted attempts
@@ -166,12 +169,13 @@ class Simulation:
     def _execute(self, txn: BatchTransaction) -> typing.Generator:
         """Drive one transaction to commit, restarting on OPT aborts."""
         scheduler = self.scheduler
-        cn = self.machine.control_node
+        machine = self.machine
+        cn_slice = self._cn_slice
         attempt = txn
         while True:
             attempt_started = self.env.now
             yield from scheduler.admit(attempt)
-            yield from self._cn_slice(self.config.sot_time_ms, "startup")
+            yield from cn_slice(self.config.sot_time_ms, "startup")
 
             try:
                 while not attempt.finished_all_steps:
@@ -183,7 +187,13 @@ class Simulation:
                         self.auditor.record_access(
                             attempt.txn_id, step.file_id, step.mode, self.env.now
                         )
-                    yield from self._run_step(attempt)
+                    # the machine-level scan of the step (Section 4.1)
+                    execution = machine.begin_step(
+                        attempt.txn_id, step.file_id, step.cost,
+                        attempt.current_step_index,
+                    )
+                    attempt.current_execution = execution
+                    yield from machine.run_step(execution)
                     attempt.advance()
             except TransactionAborted:
                 # deadlock victim (plain 2PL): roll back and restart
@@ -201,7 +211,7 @@ class Simulation:
                 attempt = restarted
                 continue
 
-            yield from self._cn_slice(self.config.cot_time_ms, "commit")
+            yield from cn_slice(self.config.cot_time_ms, "commit")
             if scheduler.validate_at_commit(attempt):
                 yield from scheduler.commit(attempt)
                 if self.auditor is not None:
@@ -222,48 +232,6 @@ class Simulation:
                     new_txn=restarted.txn_id, reason="validation",
                 )
             attempt = restarted
-
-    def _cn_slice(self, cost_ms: float, category: str) -> typing.Generator:
-        """One CN CPU slice, self-profiled as machine.cn when enabled."""
-        work = self.machine.control_node.consume(cost_ms, category)
-        if self.env.profile.enabled:
-            yield from profiled(work, self.env.profile, "machine.cn")
-        else:
-            yield from work
-
-    def _message(self, work: typing.Generator) -> typing.Generator:
-        """A CN message send/receive, profiled as machine.msg."""
-        if self.env.profile.enabled:
-            yield from profiled(work, self.env.profile, "machine.msg")
-        else:
-            yield from work
-
-    def _run_step(self, txn: BatchTransaction) -> typing.Generator:
-        """The machine-level scan of the current step (Section 4.1)."""
-        step = txn.current_step
-        if self.trace.enabled:
-            self.trace.emit(
-                self.env.now, "txn.step_start", txn=txn.txn_id,
-                file=step.file_id, step=txn.current_step_index,
-                cost=step.cost,
-            )
-        execution = self.machine.begin_step(
-            txn.txn_id, step.file_id, step.cost
-        )
-        txn.current_execution = execution
-        cn = self.machine.control_node
-        yield from self._message(cn.send_message())
-        done = [
-            self.machine.data_nodes[c.node_id].submit(c)
-            for c in execution.cohorts
-        ]
-        yield self.env.all_of(done)
-        yield from self._message(cn.receive_message())
-        if self.trace.enabled:
-            self.trace.emit(
-                self.env.now, "txn.step_end", txn=txn.txn_id,
-                file=step.file_id, step=txn.current_step_index,
-            )
 
     def _allocate_restart_id(self) -> int:
         self._next_restart_id += 1

@@ -9,6 +9,12 @@ byte-identical.  Each digest below is the sha256 of
 every cell at lambda = 1.2 exercises blocks, and GOW/LOW/LOW-LB cells
 exercise the retry fallback.  The exp2 cells put S locks beside X locks
 on the 8 hot files, so GOW/LOW decide between readers and writers there.
+
+The wide cells pin the step path where one step splits into the most
+cohorts: DD = 8 for the paper's schedulers and DD = 4 for the modern
+families.  The last two pins cover the observation outputs of one
+DD = 8 cell, byte for byte: the JSONL trace export and the time-series
+export.
 """
 
 import hashlib
@@ -17,6 +23,8 @@ import json
 import pytest
 
 from repro.machine import MachineConfig
+from repro.obs import MemoryRecorder, write_jsonl
+from repro.obs.timeseries import TimeSeriesSampler, write_series_json
 from repro.sim import run_simulation
 from repro.txn import experiment1_workload, experiment2_workload
 
@@ -57,6 +65,28 @@ DIGESTS = {
 }
 
 
+#: (scheduler, rate_tps, dd) -> digest, exp1, seed 1, 60 s with 5 s warm-up
+WIDE_DIGESTS = {
+    ("NODC", 0.8, 8): "bc6802135012f708dc74d520275cf4f623565ecb1e9d4f198b4c0ea3ffcb0bd8",
+    ("ASL", 0.8, 8): "fa1b8ea3ce4d7fabf19ed65366b53bb50f14cb24c2272eb7b0453c492fd7efa3",
+    ("C2PL", 0.8, 8): "88c4b58366327fe73cc6f635ac0b6104f2273524bb5236e7535c2f9966718d38",
+    ("OPT", 0.8, 8): "6cb671ce2c7febf2f4c8eef71c22c207277de79fe21492058b097ae408b23c79",
+    ("GOW", 0.8, 8): "9e8037d821210e2c5274140fe066ddc8b795c30cf5ec1e9dc400d9c0efa6a106",
+    ("LOW", 0.8, 8): "06c600b6273c42e34f34ef778ca35315af97c22cd9f7031db40bf0618202be18",
+    ("DGCC", 0.8, 4): "922ef5754ac96cd95c420a95076f8d01ced98037c3270b131003c0f11858b4b3",
+    ("PRED", 0.8, 4): "25259fa247de30686034824f198c56473e8091da327453d2075c357961f76a6d",
+    ("CAR", 0.8, 4): "a306addeb3538016f16fc7e79f24ed0a2c6c6a94718f1c8033cef44fd4a421df",
+}
+
+#: sha256 of the exports of the C2PL exp1 lambda = 0.8 DD = 8 cell above
+TRACE_JSONL_SHA256 = (
+    "3ed55efe87b4a4527c7057a624c51b2d834a3b26e5ec266c80bcd5814ffd541d"
+)
+SERIES_JSON_SHA256 = (
+    "ff239bdaed68707dd54f5f3ffd0e5ed340473bebccc588ac9faa4e945241484f"
+)
+
+
 #: (scheduler, rate_tps, dd) -> digest, exp2, seed 1, 200 s with 5 s warm-up
 EXP2_DIGESTS = {
     ("GOW", 0.6, 1): "d074f1dbc245d9df689c8db8531406048418a585030e2c2bc1142cef93fb1ca1",
@@ -71,19 +101,43 @@ def _digest(result):
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-@pytest.mark.parametrize(
-    "scheduler, rate, dd", sorted(DIGESTS), ids=lambda v: str(v)
-)
-def test_paper_scheduler_results_are_pinned(scheduler, rate, dd):
-    result = run_simulation(
+def _exp1(scheduler, rate, dd, **observers):
+    return run_simulation(
         scheduler,
         experiment1_workload(rate),
         MachineConfig(dd=dd),
         seed=1,
         duration_ms=60_000.0,
         warmup_ms=5_000.0,
+        **observers,
     )
+
+
+@pytest.mark.parametrize(
+    "scheduler, rate, dd", sorted(DIGESTS), ids=lambda v: str(v)
+)
+def test_paper_scheduler_results_are_pinned(scheduler, rate, dd):
+    result = _exp1(scheduler, rate, dd)
     assert _digest(result) == DIGESTS[(scheduler, rate, dd)]
+
+
+@pytest.mark.parametrize(
+    "scheduler, rate, dd", sorted(WIDE_DIGESTS), ids=lambda v: str(v)
+)
+def test_wide_declustering_results_are_pinned(scheduler, rate, dd):
+    result = _exp1(scheduler, rate, dd)
+    assert _digest(result) == WIDE_DIGESTS[(scheduler, rate, dd)]
+
+
+def test_trace_and_series_exports_are_pinned(tmp_path):
+    recorder = MemoryRecorder()
+    sampler = TimeSeriesSampler(interval_ms=1_000.0)
+    result = _exp1("C2PL", 0.8, 8, recorder=recorder, sampler=sampler)
+    assert _digest(result) == WIDE_DIGESTS[("C2PL", 0.8, 8)]
+    trace = write_jsonl(recorder.events, tmp_path / "trace.jsonl")
+    series = write_series_json(sampler, tmp_path / "series.json")
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == TRACE_JSONL_SHA256
+    assert hashlib.sha256(series.read_bytes()).hexdigest() == SERIES_JSON_SHA256
 
 
 @pytest.mark.parametrize(

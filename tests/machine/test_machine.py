@@ -15,7 +15,8 @@ def run_step(env, machine, txn_id, file_id, cost):
     result = {}
 
     def driver(env, machine):
-        execution = yield from machine.run_step(txn_id, file_id, cost)
+        execution = machine.begin_step(txn_id, file_id, cost)
+        yield from machine.run_step(execution)
         result["execution"] = execution
         result["finished_at"] = env.now
 
@@ -76,7 +77,8 @@ class TestContention:
         finish = {}
 
         def driver(env, machine, txn_id, file_id):
-            yield from machine.run_step(txn_id, file_id, cost=2.0)
+            step = machine.begin_step(txn_id, file_id, cost=2.0)
+            yield from machine.run_step(step)
             finish[txn_id] = env.now
 
         # files 0 and 8 both live on node 0 at DD=1
@@ -91,7 +93,8 @@ class TestContention:
         finish = {}
 
         def driver(env, machine, txn_id, file_id):
-            yield from machine.run_step(txn_id, file_id, cost=2.0)
+            step = machine.begin_step(txn_id, file_id, cost=2.0)
+            yield from machine.run_step(step)
             finish[txn_id] = env.now
 
         env.process(driver(env, machine, 1, 0))
@@ -107,7 +110,7 @@ class TestStatistics:
         machine = SharedNothingMachine(env, MachineConfig(dd=1))
 
         def driver(env, machine):
-            yield from machine.run_step(1, 0, cost=1.0)
+            yield from machine.run_step(machine.begin_step(1, 0, cost=1.0))
 
         env.process(driver(env, machine))
         env.run(until=env.timeout(1004))
@@ -118,7 +121,7 @@ class TestStatistics:
         machine = SharedNothingMachine(env, MachineConfig())
 
         def driver(env, machine):
-            yield from machine.run_step(1, 0, cost=1.0)
+            yield from machine.run_step(machine.begin_step(1, 0, cost=1.0))
 
         env.process(driver(env, machine))
         env.run()

@@ -60,15 +60,16 @@ class TestMixedQuanta:
         done_at = {}
 
         def driver(env, machine, txn_id, file_id):
-            yield from machine.run_step(txn_id, file_id, cost=8.0)
+            step = machine.begin_step(txn_id, file_id, cost=8.0)
+            yield from machine.run_step(step)
             done_at[txn_id] = env.now
 
         def sequential(env, machine):
             # run the wide scan alone (a DD=8 file overlaps every node,
             # so concurrency would just measure sharing, not speedup)
-            yield from machine.run_step(1, 0, cost=8.0)
+            yield from machine.run_step(machine.begin_step(1, 0, cost=8.0))
             done_at[1] = env.now
-            yield from machine.run_step(2, 1, cost=8.0)
+            yield from machine.run_step(machine.begin_step(2, 1, cost=8.0))
             done_at[2] = env.now - done_at[1]
 
         env.process(sequential(env, machine))
